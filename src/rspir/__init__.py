@@ -3,8 +3,8 @@
 The user holds no input and receives one uniformly random message out of K,
 with neither database learning which one (user privacy) and the user
 learning nothing beyond it (database privacy). Everything here is exact:
-schemes are linear maps over GF(2^m), and every constraint is checked by
-exhaustive enumeration with rational arithmetic.
+schemes are linear maps over GF(2^m), and every constraint is decided by
+integer ranks and counts, with rational arithmetic where entropies appear.
 """
 from .decode import (
     DatabasePrivacyBreach,

@@ -11,7 +11,7 @@ from .protocol import format_messages, parse_messages, random_messages, run_prot
 from .scheme import VARIANTS, build_scheme
 from .schemeio import SchemeParseError, load_scheme, serialize_scheme
 from .search import BudgetExceededError, SearchSpace, search_schemes
-from .verify import audit_rate, audit_randomness, verify_scheme
+from .verify import audit_rate, audit_randomness, measure_lines, verify_scheme
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -19,7 +19,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="construct a shipped scheme and print or save it")
-    p.add_argument("variant", choices=[v for v in VARIANTS if v != "custom"])
+    p.add_argument("variant", choices=VARIANTS)
     p.add_argument("--k", type=int, default=None, help="message count (ignored for k4-special)")
     p.add_argument("--m", type=int, default=1, help="field extension degree (default 1)")
     p.add_argument("--out", default=None, help="output file (default stdout)")
@@ -90,22 +90,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
         if args.command == "rate":
             scheme = load_scheme(args.scheme)
-            rate = audit_rate(scheme, args.blocks)
-            randomness = audit_randomness(scheme)
-            lines = [
-                f"MEASURE download-cost-symbols {rate.download_cost_symbols}",
-                f"MEASURE rate {rate.rate}",
-                f"MEASURE randomness-symbols {randomness.randomness_symbols}",
-                f"MEASURE randomness-per-message-length {randomness.per_message_length}",
-            ]
-            if rate.capacity is not None:
-                lines.append(f"MEASURE capacity {rate.capacity}")
-                lines.append(f"MEASURE capacity-gap {rate.capacity_gap}")
-            if randomness.minimum_per_message_length is not None:
-                lines.append(f"MEASURE min-randomness-per-message-length {randomness.minimum_per_message_length}")
-                lines.append(f"MEASURE randomness-gap {randomness.gap}")
-            if rate.finite_block_rate is not None:
-                lines.append(f"MEASURE finite-block-rate-bits {rate.finite_block_rate}")
+            lines = measure_lines(audit_rate(scheme, args.blocks), audit_randomness(scheme))
             sys.stdout.write("\n".join(lines) + "\n")
             return 0
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Mapping
 
 
 @dataclass(frozen=True)
@@ -90,16 +90,6 @@ def entropy(d: JointDistribution, base: str = "q-ary") -> Fraction | float:
         return bits if base == "bits" else bits / m
     h = -sum(float(p) * math.log2(float(p)) for _, p in d.outcomes if p > 0)
     return h if base == "bits" else h / m
-
-
-def joint_of_pairs(pairs: Iterable[tuple[Hashable, Hashable]], q: int = 2) -> JointDistribution:
-    """Uniform empirical joint over observed (x, y) pairs."""
-    counts: dict[tuple[Hashable, Hashable], int] = {}
-    n = 0
-    for xy in pairs:
-        counts[xy] = counts.get(xy, 0) + 1
-        n += 1
-    return JointDistribution.from_counts(counts, n, q)
 
 
 def mutual_information(joint: JointDistribution, base: str = "q-ary") -> Fraction | float:

@@ -18,7 +18,7 @@ from typing import Sequence
 from .decode import DecodeTable, decode, derive_decode_table
 from .linalg import mat_vec
 from .scheme import Scheme, answer_index_bits
-from .schemeio import serialize_scheme
+from .schemeio import decimal_ints, serialize_scheme
 
 
 @dataclass(frozen=True)
@@ -142,7 +142,7 @@ def parse_messages(text: str, s: Scheme, blocks: int) -> list[list[int]]:
         raise ValueError(f"messages file has {len(lines)} rows, expected K={s.K}")
     for lineno, line in enumerate(lines, start=1):
         try:
-            values = [int(p) for p in line.split()]
+            values = decimal_ints(line.split())
         except ValueError:
             raise ValueError(f"messages row {lineno}: symbols must be decimal integers") from None
         if len(values) != s.L * blocks:

@@ -30,7 +30,6 @@ VARIANTS = (
     "rotation-messages",
     "pairwise-sum",
     "k4-special",
-    "custom",
 )
 
 

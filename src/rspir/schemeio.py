@@ -14,6 +14,8 @@ line. ``parse_scheme(serialize_scheme(s)) == s`` exactly.
 """
 from __future__ import annotations
 
+import re
+
 from .field import FieldSpec
 from .linalg import FieldMatrix
 from .scheme import LinearAnswer, Scheme
@@ -37,9 +39,23 @@ def serialize_scheme(s: Scheme) -> str:
     return "\n".join(lines) + "\n"
 
 
+# ASCII digits only: int() alone would also take '+0', '0_1' and non-ASCII
+# digits. A minus sign is read only before a nonzero value, so that the range
+# checks can name the negative value they reject.
+_DECIMAL = re.compile(r"[0-9]+|-[0-9]*[1-9][0-9]*")
+
+
+def decimal_ints(tokens: list[str]) -> list[int]:
+    """Tokens as decimal integers; ValueError on any other spelling."""
+    for t in tokens:
+        if not _DECIMAL.fullmatch(t):
+            raise ValueError(f"not a decimal integer: {t!r}")
+    return [int(t) for t in tokens]
+
+
 def _ints(parts: list[str], lineno: int, what: str) -> list[int]:
     try:
-        return [int(p) for p in parts]
+        return decimal_ints(parts)
     except ValueError:
         raise SchemeParseError(lineno, f"{what} must be decimal integers") from None
 

@@ -21,10 +21,10 @@ import itertools
 from dataclasses import dataclass
 
 from .field import FieldSpec
-from .linalg import FieldMatrix, rank
+from .linalg import FieldMatrix
 from .scheme import LinearAnswer, Scheme, permute_answers, permute_randomness
 from .schemeio import serialize_scheme
-from .verify import verify_scheme
+from .verify import leaked_symbols, verify_scheme
 
 
 @dataclass(frozen=True)
@@ -67,12 +67,10 @@ class BudgetExceededError(Exception):
 
 def answer_reveals_single_message(space: SearchSpace, field: FieldSpec, m: FieldMatrix) -> bool:
     """True when the answer alone leaks about some individual message."""
-    full = rank(field, m)
-    for k in range(space.K):
-        cols = range(k * space.L, (k + 1) * space.L)
-        if rank(field, m.drop_cols(cols)) != full:
-            return True
-    return False
+    return any(
+        leaked_symbols(field, m, range(k * space.L, (k + 1) * space.L))
+        for k in range(space.K)
+    )
 
 
 def candidate_answers(space: SearchSpace) -> list[FieldMatrix]:

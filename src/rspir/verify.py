@@ -1,8 +1,9 @@
-"""Exact verification of every RSPIR constraint by exhaustive enumeration.
+"""Exact verification of every RSPIR constraint from ranks and counts.
 
-Six checks per scheme, each decided by integer counting over the full
-realization space of (messages, shared randomness), never by floating
-point:
+The user of answer pair (a, b) observes G X, where G stacks the pair's two
+answer maps and X = (W, S) is uniform over F_q^(K*L+R). So every entropy
+the model needs is a rank: H(G X) = rank G in q-ary units. Six checks per
+scheme, each decided by integer ranks or counts, never by floating point:
 
 * determinism        -- answers are fixed linear maps of (W, S)
 * independence       -- the (W, S) joint factorizes, H(W,S) = K*L + R
@@ -17,15 +18,15 @@ the known minima (L for K=2, 2L for K=3 and 4).
 """
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable
 
 from .decode import DecodeTable, derive_decode_table
-from .infotheory import JointDistribution, entropy, is_independent, mutual_information
-from .linalg import mat_vec, vstack
+from .field import FieldSpec
+from .infotheory import JointDistribution, entropy, is_independent
+from .linalg import FieldMatrix, rank, vstack
 from .scheme import Scheme, answer_index_bits, validate_shape
 
 CHECK_ORDER = (
@@ -98,18 +99,7 @@ class VerificationReport:
             if c.witness:
                 line += f" {c.witness}"
             lines.append(line)
-        lines.append(f"MEASURE download-cost-symbols {self.rate.download_cost_symbols}")
-        lines.append(f"MEASURE rate {self.rate.rate}")
-        lines.append(f"MEASURE randomness-symbols {self.randomness.randomness_symbols}")
-        lines.append(f"MEASURE randomness-per-message-length {self.randomness.per_message_length}")
-        if self.rate.capacity is not None:
-            lines.append(f"MEASURE capacity {self.rate.capacity}")
-            lines.append(f"MEASURE capacity-gap {self.rate.capacity_gap}")
-        if self.randomness.minimum_per_message_length is not None:
-            lines.append(f"MEASURE min-randomness-per-message-length {self.randomness.minimum_per_message_length}")
-            lines.append(f"MEASURE randomness-gap {self.randomness.gap}")
-        if self.rate.blocks is not None:
-            lines.append(f"MEASURE finite-block-rate-bits {self.rate.finite_block_rate}")
+        lines.extend(measure_lines(self.rate, self.randomness))
         return lines
 
     def to_text(self) -> str:
@@ -135,66 +125,56 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def enumerate_observations(s: Scheme, a: int, b: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All (realization, observation) pairs for answer pair (a, b).
+def measure_lines(rate: RateAudit, randomness: RandomnessAudit) -> list[str]:
+    """The MEASURE lines of both audits, as ``verify`` and ``rate`` print them."""
+    lines = [
+        f"MEASURE download-cost-symbols {rate.download_cost_symbols}",
+        f"MEASURE rate {rate.rate}",
+        f"MEASURE randomness-symbols {randomness.randomness_symbols}",
+        f"MEASURE randomness-per-message-length {randomness.per_message_length}",
+    ]
+    if rate.capacity is not None:
+        lines.append(f"MEASURE capacity {rate.capacity}")
+        lines.append(f"MEASURE capacity-gap {rate.capacity_gap}")
+    if randomness.minimum_per_message_length is not None:
+        lines.append(f"MEASURE min-randomness-per-message-length {randomness.minimum_per_message_length}")
+        lines.append(f"MEASURE randomness-gap {randomness.gap}")
+    if rate.blocks is not None:
+        lines.append(f"MEASURE finite-block-rate-bits {rate.finite_block_rate}")
+    return lines
 
-    The realization runs over every assignment of the K*L + R input symbols;
-    the observation is the transmitted symbol vector (A_a followed by B_b).
+
+def leaked_symbols(field: FieldSpec, m: FieldMatrix, cols: Iterable[int]) -> int:
+    """I(X_cols; m X) in q-ary units for uniform X: the rank lost by dropping ``cols``.
+
+    H(m X) = rank m, and given X_cols the rest of m X is the image of the
+    remaining columns, so the information about X_cols is the difference.
     """
-    field = s.field
-    n = s.n_cols
-    stacked = vstack(s.answer(1, a).map, s.answer(2, b).map)
-    if field.m == 1:
-        masks = [_row_mask(stacked.row(i)) for i in range(stacked.rows)]
-        for xi in range(1 << n):
-            x = tuple((xi >> j) & 1 for j in range(n))
-            obs = tuple((mask & xi).bit_count() & 1 for mask in masks)
-            yield x, obs
-    else:
-        for x in itertools.product(field.elements(), repeat=n):
-            yield x, mat_vec(field, stacked, x)
-
-
-def _row_mask(row: tuple[int, ...]) -> int:
-    mask = 0
-    for j, v in enumerate(row):
-        if v:
-            mask |= 1 << j
-    return mask
-
-
-def _message_value(s: Scheme, x: tuple[int, ...], k: int) -> tuple[int, ...]:
-    base = (k - 1) * s.L
-    return x[base : base + s.L]
+    return rank(field, m) - rank(field, m.drop_cols(cols))
 
 
 def check_reliability(s: Scheme, t: DecodeTable) -> CheckRecord:
-    """Each answer pair's observation determines the decoded message exactly."""
+    """Each answer pair's observation determines the decoded message exactly.
+
+    The decode table sets theta only when every symbol of W_theta lies in
+    the row space of the pair's stacked map, that is, when W_theta is a
+    fixed linear function of the observation; so a pair fails exactly when
+    it has no theta.
+    """
     for a in range(1, s.M1 + 1):
         for b in range(1, s.M2 + 1):
-            theta = t.entry(a, b).theta
-            if theta is None:
+            if t.entry(a, b).theta is None:
                 return CheckRecord(
                     "reliability", False, witness=f"pair ({a},{b}) decodes no message"
                 )
-            seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-            for x, obs in enumerate_observations(s, a, b):
-                w = _message_value(s, x, theta)
-                prev = seen.setdefault(obs, w)
-                if prev != w:
-                    return CheckRecord(
-                        "reliability",
-                        False,
-                        witness=(
-                            f"pair ({a},{b}) observation consistent with message {theta} "
-                            f"values {prev} and {w}"
-                        ),
-                    )
     return CheckRecord("reliability", True, measured="0")
 
 
 def check_database_privacy(s: Scheme, t: DecodeTable) -> CheckRecord:
-    """Zero mutual information between each observation and the non-decoded messages."""
+    """Zero mutual information between each observation and the non-decoded messages.
+
+    ``measured`` is the leak of the first leaking pair, in q-ary symbols.
+    """
     for a in range(1, s.M1 + 1):
         for b in range(1, s.M2 + 1):
             theta = t.entry(a, b).theta
@@ -202,29 +182,20 @@ def check_database_privacy(s: Scheme, t: DecodeTable) -> CheckRecord:
                 return CheckRecord(
                     "database-privacy", False, witness=f"pair ({a},{b}) decodes no message"
                 )
-            others = [k for k in range(1, s.K + 1) if k != theta]
-            joint: Counter = Counter()
-            cw: Counter = Counter()
-            cobs: Counter = Counter()
-            total = 0
-            for x, obs in enumerate_observations(s, a, b):
-                wbar = tuple(v for k in others for v in _message_value(s, x, k))
-                joint[(wbar, obs)] += 1
-                cw[wbar] += 1
-                cobs[obs] += 1
-                total += 1
-            for wbar, nw in cw.items():
-                for obs, no in cobs.items():
-                    if joint.get((wbar, obs), 0) * total != nw * no:
-                        leak = mutual_information(
-                            JointDistribution.from_counts(joint, total, s.field.q)
-                        )
-                        return CheckRecord(
-                            "database-privacy",
-                            False,
-                            witness=f"pair ({a},{b}) leaks about non-decoded messages",
-                            measured=str(leak),
-                        )
+            others = [
+                s.message_col(k, l)
+                for k in range(1, s.K + 1) if k != theta
+                for l in range(1, s.L + 1)
+            ]
+            stacked = vstack(s.answer(1, a).map, s.answer(2, b).map)
+            leak = leaked_symbols(s.field, stacked, others)
+            if leak:
+                return CheckRecord(
+                    "database-privacy",
+                    False,
+                    witness=f"pair ({a},{b}) leaks about non-decoded messages",
+                    measured=str(leak),
+                )
     return CheckRecord("database-privacy", True, measured="0")
 
 
@@ -274,25 +245,15 @@ def check_user_privacy(s: Scheme, t: DecodeTable) -> tuple[CheckRecord, CheckRec
     return rec1, rec2
 
 
-def model_joint(s: Scheme) -> JointDistribution:
-    """The uniform independent (W, S) joint the protocol model assumes."""
-    q = s.field.q
-    n = s.n_cols
-    p = Fraction(1, q**n)
-    split = s.K * s.L
-    outcomes = []
-    for x in itertools.product(range(q), repeat=n):
-        outcomes.append(((x[:split], x[split:]), p))
-    return JointDistribution(tuple(outcomes), q)
-
-
 def check_determinism_and_independence(
     s: Scheme, joint: JointDistribution | None = None
 ) -> tuple[CheckRecord, CheckRecord]:
     """Structural determinism of answers plus exact factorization of (W, S).
 
-    Passing a ``joint`` replaces the model distribution, so a miswired
-    simulation (randomness correlated with messages) can be diagnosed.
+    The model draws (W, S) uniformly from F_q^(K*L+R), which factorizes
+    with H(W,S) = K*L + R by construction. Passing a ``joint`` replaces the
+    model distribution, so a miswired simulation (randomness correlated
+    with messages) can be diagnosed.
     """
     violations = validate_shape(s)
     if violations:
@@ -301,7 +262,7 @@ def check_determinism_and_independence(
         det = CheckRecord("determinism", True)
 
     if joint is None:
-        joint = model_joint(s)
+        return det, CheckRecord("independence", True, measured=str(s.n_cols))
     h = entropy(joint, "q-ary")
     expected = s.n_cols
     if not is_independent(joint):

@@ -1,10 +1,12 @@
-"""Shared test helpers: scheme mutation and an independent decoding oracle."""
+"""Shared test helpers: scheme mutation and independent enumeration oracles."""
 from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
+from fractions import Fraction
 
-from rspir import Scheme
+from rspir import CheckRecord, JointDistribution, Scheme, mutual_information
 from rspir.linalg import FieldMatrix
 from rspir.scheme import LinearAnswer
 
@@ -62,17 +64,15 @@ def oracle_observation(s: Scheme, a: int, b: int, x: tuple[int, ...]) -> tuple[i
     return tuple(out)
 
 
-def oracle_decodable(s: Scheme, a: int, b: int) -> dict[int, dict[tuple[int, ...], tuple[int, ...]]]:
-    """Brute-force decodability: which messages are constant given the observation.
-
-    Returns {k: {obs: value}} for exactly the fully determined messages.
-    Buckets every realization of (W, S) by its observation and keeps message
-    k only if its L symbols never vary within any bucket.
-    """
-    q = s.field.q
+def _oracle_buckets(s: Scheme, a: int, b: int) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+    """Every realization of (W, S), grouped by the observation it gives pair (a, b)."""
     buckets: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for x in itertools.product(range(q), repeat=s.n_cols):
+    for x in itertools.product(range(s.field.q), repeat=s.n_cols):
         buckets.setdefault(oracle_observation(s, a, b, x), []).append(x)
+    return buckets
+
+
+def _constant_messages(s: Scheme, buckets) -> dict[int, dict[tuple[int, ...], tuple[int, ...]]]:
     result: dict[int, dict[tuple[int, ...], tuple[int, ...]]] = {}
     for k in range(1, s.K + 1):
         lo = (k - 1) * s.L
@@ -87,3 +87,71 @@ def oracle_decodable(s: Scheme, a: int, b: int) -> dict[int, dict[tuple[int, ...
         if constant:
             result[k] = mapping
     return result
+
+
+def oracle_decodable(s: Scheme, a: int, b: int) -> dict[int, dict[tuple[int, ...], tuple[int, ...]]]:
+    """Brute-force decodability: which messages are constant given the observation.
+
+    Returns {k: {obs: value}} for exactly the fully determined messages.
+    Buckets every realization of (W, S) by its observation and keeps message
+    k only if its L symbols never vary within any bucket.
+    """
+    return _constant_messages(s, _oracle_buckets(s, a, b))
+
+
+def _oracle_leak(s: Scheme, buckets, theta: int) -> Fraction:
+    """Exact I(W_others; observation) in q-ary units, W_others = every message but theta."""
+    q = s.field.q
+    joint: Counter = Counter()
+    for obs, xs in buckets.items():
+        for x in xs:
+            others = tuple(
+                v for k in range(1, s.K + 1) if k != theta for v in x[(k - 1) * s.L : k * s.L]
+            )
+            joint[(others, obs)] += 1
+    return mutual_information(JointDistribution.from_counts(joint, q**s.n_cols, q))
+
+
+def oracle_check_records(s: Scheme) -> tuple[CheckRecord, CheckRecord]:
+    """Reliability and database-privacy records as realization enumeration decides them.
+
+    Pairs are visited in (a, b) order. A pair decodes the lowest message that
+    is constant within every observation bucket; the first pair that decodes
+    none fails both checks, and the first pair whose observation carries
+    information about the other messages fails database privacy with that
+    leak as ``measured``.
+    """
+    rel = dbp = None
+    for a in range(1, s.M1 + 1):
+        for b in range(1, s.M2 + 1):
+            buckets = _oracle_buckets(s, a, b)
+            decodable = _constant_messages(s, buckets)
+            if not decodable:
+                witness = f"pair ({a},{b}) decodes no message"
+                rel = rel or CheckRecord("reliability", False, witness=witness)
+                dbp = dbp or CheckRecord("database-privacy", False, witness=witness)
+            elif dbp is None:
+                leak = _oracle_leak(s, buckets, min(decodable))
+                if leak:
+                    dbp = CheckRecord(
+                        "database-privacy", False,
+                        witness=f"pair ({a},{b}) leaks about non-decoded messages",
+                        measured=str(leak),
+                    )
+            if rel is not None and dbp is not None:
+                return rel, dbp
+    return (
+        rel or CheckRecord("reliability", True, measured="0"),
+        dbp or CheckRecord("database-privacy", True, measured="0"),
+    )
+
+
+def oracle_model_joint(s: Scheme) -> JointDistribution:
+    """The uniform (W, S) joint of the model, listed outcome by outcome."""
+    q = s.field.q
+    split = s.K * s.L
+    p = Fraction(1, q**s.n_cols)
+    outcomes = tuple(
+        ((x[:split], x[split:]), p) for x in itertools.product(range(q), repeat=s.n_cols)
+    )
+    return JointDistribution(outcomes, q)

@@ -112,6 +112,21 @@ def test_rate_command(tmp_path, capsys):
     assert "MEASURE finite-block-rate-bits 4/13" in out  # 8*2 / (8*6 + 4)
 
 
+@pytest.mark.parametrize("scheme", [build_k4_scheme(), build_pairwise_scheme(5)], ids=["k4", "pairwise-k5"])
+def test_rate_equals_verify_measure_lines(tmp_path, capsys, scheme):
+    path = write_scheme(tmp_path, scheme)
+    main(["verify", path])
+    measures = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("MEASURE")]
+
+    assert main(["rate", path]) == 0
+    assert capsys.readouterr().out.splitlines() == measures
+
+    assert main(["rate", path, "--blocks", "8"]) == 0
+    with_blocks = capsys.readouterr().out.splitlines()
+    assert with_blocks[:-1] == measures
+    assert with_blocks[-1].startswith("MEASURE finite-block-rate-bits ")
+
+
 def test_graph_command(tmp_path, capsys):
     path = write_scheme(tmp_path, build_k4_scheme())
     out_file = tmp_path / "graph.gv"

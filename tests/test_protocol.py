@@ -154,3 +154,10 @@ def test_parse_messages_errors():
         parse_messages("0 2\n0 1\n", s, 2)
     with pytest.raises(ValueError, match="decimal"):
         parse_messages("0 x\n0 1\n", s, 2)
+
+
+@pytest.mark.parametrize("token", ["+0", "0_1", "-0", "\uff10"])  # last: full-width zero
+def test_parse_messages_rejects_non_decimal_token(token):
+    s = build_pairwise_scheme(2)
+    with pytest.raises(ValueError, match="row 2: symbols must be decimal integers"):
+        parse_messages(f"0 1\n{token} 1\n", s, 2)

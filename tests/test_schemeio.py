@@ -101,6 +101,14 @@ def test_parse_error_negative_coefficient():
         parse_scheme(text)
 
 
+@pytest.mark.parametrize("token", ["+0", "0_1", "-0", "\uff10"])  # last: full-width zero
+def test_parse_error_non_decimal_token(token):
+    text = serialize_scheme(build_pairwise_scheme(2)).replace("0 0 1", f"0 {token} 1", 1)
+    with pytest.raises(SchemeParseError, match="coefficients must be decimal integers") as exc:
+        parse_scheme(text)
+    assert exc.value.line == 3
+
+
 def test_parse_error_out_of_order_answer():
     text = serialize_scheme(build_pairwise_scheme(2)).replace("answer 1 2 1", "answer 1 3 1")
     with pytest.raises(SchemeParseError, match="out of order"):

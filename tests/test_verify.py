@@ -3,7 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import replace_answer
+from conftest import (
+    all_single_mutations,
+    oracle_check_records,
+    oracle_model_joint,
+    replace_answer,
+)
 from rspir import (
     FieldSpec,
     JointDistribution,
@@ -13,6 +18,7 @@ from rspir import (
     build_k4_scheme,
     build_pairwise_scheme,
     build_rotation_scheme,
+    build_scheme,
     check_database_privacy,
     check_determinism_and_independence,
     check_reliability,
@@ -25,7 +31,7 @@ from rspir import (
 )
 from rspir.linalg import FieldMatrix
 from rspir.scheme import LinearAnswer
-from rspir.verify import CHECK_ORDER, enumerate_observations
+from rspir.verify import CHECK_ORDER
 
 
 def zero_column(s: Scheme, col: int) -> Scheme:
@@ -170,14 +176,41 @@ def test_field_lift_to_gf4_still_passes(scheme):
     assert verify_scheme(with_field(scheme, 2)).all_passed
 
 
-def test_enumerate_observations_fast_path_matches_generic():
-    # the m=1 bitmask path must agree with longhand evaluation
-    from conftest import oracle_observation
+SHIPPED_UP_TO_K4 = [
+    (variant, k)
+    for variant in ("rotation-randomness", "rotation-messages", "pairwise-sum")
+    for k in (2, 3, 4)
+] + [("k4-special", None)]
 
-    s = build_pairwise_scheme(3)
-    for a, b in ((1, 1), (2, 3)):
-        for x, obs in enumerate_observations(s, a, b):
-            assert obs == oracle_observation(s, a, b, x)
+
+def rank_checks(s: Scheme) -> tuple:
+    report = verify_scheme(s)
+    return report.check("reliability"), report.check("database-privacy")
+
+
+@pytest.mark.parametrize("variant,k", SHIPPED_UP_TO_K4, ids=str)
+def test_rank_checks_match_enumeration_oracle(variant, k):
+    scheme = build_scheme(variant, k)
+    assert rank_checks(scheme) == oracle_check_records(scheme)
+    closed_form = check_determinism_and_independence(scheme)
+    assert closed_form == check_determinism_and_independence(scheme, oracle_model_joint(scheme))
+    assert closed_form[1].measured == str(scheme.K * scheme.L + scheme.R)
+
+
+@pytest.mark.parametrize(
+    "base",
+    [build_pairwise_scheme(3), build_rotation_scheme(2), with_field(build_rotation_scheme(2), 2)],
+    ids=["pairwise-k3", "rotation-k2", "rotation-k2-gf4"],
+)
+def test_rank_checks_match_enumeration_oracle_on_mutations(base):
+    undecodable = leaking = 0
+    for _where, mutated in all_single_mutations(base):
+        expected = oracle_check_records(mutated)
+        assert rank_checks(mutated) == expected
+        undecodable += not expected[0].passed
+        leaking += expected[1].measured not in (None, "0")
+    # both witness kinds occur, so the comparison covers each failure path
+    assert undecodable and leaking
 
 
 def test_report_lines_format():
@@ -267,8 +300,6 @@ def test_single_coefficient_mutations_pairwise_k3():
     # The only exceptions re-encode the bare-pad answer A_1 by adding the
     # other pad to one of its rows, which is an invertible change of what
     # A_1 transmits and yields a different but equally valid scheme.
-    from conftest import all_single_mutations
-
     s = build_pairwise_scheme(3)
     survivors = []
     for (db, index, pos, _value), mutated in all_single_mutations(s):
@@ -282,8 +313,6 @@ def test_single_coefficient_mutations_pairwise_k3():
 
 
 def test_single_coefficient_mutations_rotation_k2_all_break():
-    from conftest import all_single_mutations
-
     s = build_rotation_scheme(2)
     for _where, mutated in all_single_mutations(s):
         assert not verify_scheme(mutated).all_passed
