@@ -5,7 +5,7 @@ import argparse
 import sys
 from typing import Sequence
 
-from .decode import derive_decode_table
+from .decode import NotReliableError, derive_decode_table
 from .graphdot import export_bipartite_dot
 from .protocol import format_messages, parse_messages, random_messages, run_protocol
 from .scheme import VARIANTS, build_scheme
@@ -124,7 +124,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                     sys.stdout.write("\n" + serialize_scheme(scheme))
             return 0
 
-    except (SchemeParseError, OSError, ValueError) as e:
+    except (SchemeParseError, OSError, ValueError, NotReliableError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 1
 

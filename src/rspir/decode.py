@@ -92,29 +92,40 @@ def derive_decode_table(s: Scheme) -> DecodeTable:
     theta is the lowest fully decodable message index per pair (there is
     exactly one for a valid scheme); ``problems()`` lists the exceptions.
     """
+    _require_valid_shape(s)
+    grid = tuple(
+        tuple(_pair_decode(s, ans_a.map, ans_b.map) for ans_b in s.answers_db2)
+        for ans_a in s.answers_db1
+    )
+    return DecodeTable(s.K, s.L, grid)
+
+
+def derive_pair_decode(s: Scheme, a: int, b: int) -> PairDecode:
+    """The decode table's entry for answer pair (a, b), derived on its own."""
+    _require_valid_shape(s)
+    return _pair_decode(s, s.answer(1, a).map, s.answer(2, b).map)
+
+
+def _require_valid_shape(s: Scheme) -> None:
     violations = validate_shape(s)
     if violations:
         raise ValueError("scheme shape is invalid: " + "; ".join(violations))
-    field = s.field
-    grid = []
-    for ans_a in s.answers_db1:
-        row = []
-        for ans_b in s.answers_db2:
-            stacked = vstack(ans_a.map, ans_b.map)
-            red = row_reduce(field, stacked)
-            decodable = []
-            for k in range(1, s.K + 1):
-                units = (_unit(s.n_cols, s.message_col(k, l)) for l in range(1, s.L + 1))
-                if all(in_row_space(field, red, u) for u in units):
-                    decodable.append(k)
-            if decodable:
-                theta = decodable[0]
-                recovery = _recovery_map(s, stacked, theta)
-            else:
-                theta, recovery = None, None
-            row.append(PairDecode(tuple(decodable), theta, recovery))
-        grid.append(tuple(row))
-    return DecodeTable(s.K, s.L, tuple(grid))
+
+
+def _pair_decode(s: Scheme, map_a: FieldMatrix, map_b: FieldMatrix) -> PairDecode:
+    stacked = vstack(map_a, map_b)
+    red = row_reduce(s.field, stacked)
+    decodable = tuple(
+        k
+        for k in range(1, s.K + 1)
+        if all(
+            in_row_space(s.field, red, _unit(s.n_cols, s.message_col(k, l)))
+            for l in range(1, s.L + 1)
+        )
+    )
+    if not decodable:
+        return PairDecode((), None, None)
+    return PairDecode(decodable, decodable[0], _recovery_map(s, stacked, decodable[0]))
 
 
 def _unit(n: int, col: int) -> tuple[int, ...]:

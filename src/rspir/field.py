@@ -3,10 +3,17 @@
 Elements are plain ints in [0, 2^m). Addition is bitwise XOR; multiplication
 is carry-less polynomial multiplication reduced by a fixed irreducible
 polynomial per degree, so results are bit-exact and portable.
+
+That product and square-and-multiply inversion only build the per-degree
+tables, once per degree on first use: ``mul_rows[e][x]`` is e*x, and each
+row is 256 bytes long so it doubles as a ``bytes.translate`` table;
+``inverses[x]`` is the inverse of x. ``add``, ``mul`` and ``inv`` keep their
+range checks; hot loops check their operands once and index the tables.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 # Lexicographically least irreducible polynomial per extension degree,
 # written as an int with bit i for the x^i coefficient. Degree 1 needs no
@@ -49,43 +56,68 @@ class FieldSpec:
         self.check(y)
         return x ^ y
 
+    @property
+    def mul_rows(self) -> tuple[bytes, ...]:
+        """Row e maps x to e*x; each row is a 256-byte ``bytes.translate`` table."""
+        return _tables(self.m)[0]
+
+    @property
+    def inverses(self) -> tuple[int, ...]:
+        """inverses[x] * x == 1 for x != 0; the entry at 0 is a placeholder 0."""
+        return _tables(self.m)[1]
+
     def mul(self, x: int, y: int) -> int:
-        """Field multiplication: carry-less product reduced mod the fixed polynomial."""
+        """Field multiplication, by table lookup."""
         self.check(x)
         self.check(y)
-        if self.m == 1:
-            return x & y
-        poly = REDUCTION_POLYS[self.m]
-        top = self.q
-        res = 0
-        a, b = x, y
-        for _ in range(self.m):
-            if b & 1:
-                res ^= a
-            b >>= 1
-            a <<= 1
-            if a & top:
-                a ^= poly
-        return res
+        return self.mul_rows[x][y]
 
     def inv(self, x: int) -> int:
         """Multiplicative inverse; zero has none."""
         self.check(x)
         if x == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
-        # x^(q-2) by square and multiply; q <= 16 so this is cheap.
-        result = 1
-        base = x
-        e = self.q - 2
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        return self.inverses[x]
 
     def elements(self) -> range:
         return range(self.q)
 
 
 GF2 = FieldSpec(1)
+
+
+def _carryless_mul(m: int, x: int, y: int) -> int:
+    """Carry-less product of x and y reduced mod the degree-m polynomial."""
+    if m == 1:
+        return x & y
+    poly = REDUCTION_POLYS[m]
+    top = 1 << m
+    res = 0
+    for _ in range(m):
+        if y & 1:
+            res ^= x
+        y >>= 1
+        x <<= 1
+        if x & top:
+            x ^= poly
+    return res
+
+
+def _power_inverse(m: int, x: int) -> int:
+    """x^(q-2) by square and multiply, the inverse of nonzero x."""
+    result, base, e = 1, x, (1 << m) - 2
+    while e:
+        if e & 1:
+            result = _carryless_mul(m, result, base)
+        base = _carryless_mul(m, base, base)
+        e >>= 1
+    return result
+
+
+@lru_cache(maxsize=None)
+def _tables(m: int) -> tuple[tuple[bytes, ...], tuple[int, ...]]:
+    q = 1 << m
+    pad = bytes(256 - q)
+    mul_rows = tuple(bytes(_carryless_mul(m, e, x) for x in range(q)) + pad for e in range(q))
+    inverses = (0,) + tuple(_power_inverse(m, x) for x in range(1, q))
+    return mul_rows, inverses

@@ -1,7 +1,18 @@
-"""Dense linear algebra over GF(2^m): row reduction, rank, solving, nullspaces.
+"""Dense linear algebra over GF(2^m): products, row reduction, rank, solving, nullspaces.
 
 Matrices here are tiny (answer maps of small retrieval schemes), so
-everything is straightforward Gaussian elimination on tuples of ints.
+elimination is straightforward Gaussian elimination on lists of ints that
+indexes the field's multiplication and inverse tables directly.
+
+Every matrix product goes through one kernel, ``mat_batch``: it multiplies
+a matrix by a batch of inputs held column-wise, one ``bytes`` per input
+with one symbol per batch position (so q <= 256). Each nonzero coefficient
+e costs one ``bytes.translate`` through the multiply-by-e table and one
+big-int XOR over the whole batch. ``mat_vec`` is a batch of width 1 and
+``mat_mul`` takes the rows of its right factor as the batch.
+
+Operands are range-checked once per call, by a single min/max pass, and
+out-of-field entries raise ``ValueError``.
 """
 from __future__ import annotations
 
@@ -77,32 +88,48 @@ def vstack(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
     return FieldMatrix(a.rows + b.rows, a.cols, a.entries + b.entries)
 
 
-def mat_vec(field: FieldSpec, a: FieldMatrix, x: Sequence[int]) -> tuple[int, ...]:
-    if len(x) != a.cols:
-        raise ValueError(f"vector length {len(x)} does not match {a.cols} columns")
+def _check_all(field: FieldSpec, values: Sequence[int]) -> None:
+    if len(values):
+        field.check(min(values))
+        field.check(max(values))
+
+
+def mat_batch(field: FieldSpec, a: FieldMatrix, batch: Sequence[bytes], width: int) -> list[bytes]:
+    """Rows of A times a batch of ``width`` inputs, held column-wise.
+
+    ``batch[j]`` holds input symbol j for every batch position; row i of
+    the result holds output symbol i for every position, in the same layout.
+    """
+    if len(batch) != a.cols:
+        raise ValueError(f"batch has {len(batch)} inputs, expected {a.cols}")
+    if any(len(col) != width for col in batch):
+        raise ValueError(f"every batch input must hold {width} symbols")
+    _check_all(field, a.entries)
+    _check_all(field, b"".join(batch))
+    mul = field.mul_rows
     out = []
     for i in range(a.rows):
         acc = 0
-        base = i * a.cols
-        for j, xj in enumerate(x):
-            e = a.entries[base + j]
-            if e and xj:
-                acc = field.add(acc, field.mul(e, xj))
-        out.append(acc)
-    return tuple(out)
+        for e, col in zip(a.entries[i * a.cols : (i + 1) * a.cols], batch):
+            if e:
+                acc ^= int.from_bytes(col if e == 1 else col.translate(mul[e]), "little")
+        out.append(acc.to_bytes(width, "little"))
+    return out
+
+
+def mat_vec(field: FieldSpec, a: FieldMatrix, x: Sequence[int]) -> tuple[int, ...]:
+    if len(x) != a.cols:
+        raise ValueError(f"vector length {len(x)} does not match {a.cols} columns")
+    _check_all(field, x)
+    return tuple(row[0] for row in mat_batch(field, a, [bytes((v,)) for v in x], 1))
 
 
 def mat_mul(field: FieldSpec, a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
     if a.cols != b.rows:
         raise ValueError("inner dimensions differ")
-    flat = []
-    for i in range(a.rows):
-        for j in range(b.cols):
-            acc = 0
-            for k in range(a.cols):
-                acc = field.add(acc, field.mul(a.entry(i, k), b.entry(k, j)))
-            flat.append(acc)
-    return FieldMatrix(a.rows, b.cols, tuple(flat))
+    _check_all(field, b.entries)
+    rows = mat_batch(field, a, [bytes(b.row(k)) for k in range(b.rows)], b.cols)
+    return FieldMatrix(a.rows, b.cols, tuple(v for row in rows for v in row))
 
 
 @dataclass(frozen=True)
@@ -119,6 +146,8 @@ class RowReduced:
 
 def row_reduce(field: FieldSpec, a: FieldMatrix) -> RowReduced:
     """Reduced row echelon form over the field (pivots normalized to 1)."""
+    _check_all(field, a.entries)
+    mul, inv = field.mul_rows, field.inverses
     work = a.to_rows()
     m, n = a.rows, a.cols
     pivots: list[int] = []
@@ -128,13 +157,13 @@ def row_reduce(field: FieldSpec, a: FieldMatrix) -> RowReduced:
         if pivot is None:
             continue
         work[r], work[pivot] = work[pivot], work[r]
-        scale = field.inv(work[r][c])
+        scale = inv[work[r][c]]
         if scale != 1:
-            work[r] = [field.mul(scale, v) for v in work[r]]
+            work[r] = [mul[scale][v] for v in work[r]]
         for i in range(m):
             if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [field.add(vi, field.mul(f, vr)) for vi, vr in zip(work[i], work[r])]
+                f = mul[work[i][c]]
+                work[i] = [vi ^ f[vr] for vi, vr in zip(work[i], work[r])]
         pivots.append(c)
         r += 1
         if r == m:
@@ -148,12 +177,13 @@ def rank(field: FieldSpec, a: FieldMatrix) -> int:
 
 def reduce_vector(field: FieldSpec, red: RowReduced, v: Sequence[int]) -> tuple[int, ...]:
     """Residue of v after elimination against the reduced rows."""
+    _check_all(field, v)
+    mul = field.mul_rows
     res = list(v)
     for i, c in enumerate(red.pivots):
         if res[c] != 0:
-            f = res[c]
-            row = red.matrix.row(i)
-            res = [field.add(x, field.mul(f, r)) for x, r in zip(res, row)]
+            f = mul[res[c]]
+            res = [x ^ f[r] for x, r in zip(res, red.matrix.row(i))]
     return tuple(res)
 
 

@@ -15,8 +15,8 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .decode import DecodeTable, decode, derive_decode_table
-from .linalg import mat_vec
+from .decode import DecodeTable, NotReliableError, derive_pair_decode
+from .linalg import mat_batch
 from .scheme import Scheme, answer_index_bits
 from .schemeio import decimal_ints, serialize_scheme
 
@@ -61,8 +61,8 @@ def _stream(seed: int | str, label: str) -> random.Random:
 
 def shared_randomness(s: Scheme, seed: int | str, blocks: int) -> list[tuple[int, ...]]:
     """Per-block shared randomness symbols, as both databases would derive them."""
-    rng = _stream(seed, "common-randomness")
-    return [tuple(rng.randrange(s.field.q) for _ in range(s.R)) for _ in range(blocks)]
+    rng, q = _stream(seed, "common-randomness"), s.field.q
+    return [tuple(rng.randrange(q) for _ in range(s.R)) for _ in range(blocks)]
 
 
 def draw_indices(s: Scheme, seed: int | str) -> tuple[int, int]:
@@ -74,8 +74,8 @@ def draw_indices(s: Scheme, seed: int | str) -> tuple[int, int]:
 
 def random_messages(s: Scheme, seed: int | str, blocks: int) -> list[list[int]]:
     """Uniform message content, for runs without a messages file."""
-    rng = _stream(seed, "messages")
-    return [[rng.randrange(s.field.q) for _ in range(s.L * blocks)] for _ in range(s.K)]
+    rng, q = _stream(seed, "messages"), s.field.q
+    return [[rng.randrange(q) for _ in range(s.L * blocks)] for _ in range(s.K)]
 
 
 def run_protocol(
@@ -88,48 +88,41 @@ def run_protocol(
     """Simulate one full retrieval and return the recorded transcript.
 
     ``messages`` is K rows of L*blocks symbols. The answer pair is drawn
-    once and reused for every block.
+    once and reused for every block, so the whole run is one pass of each
+    linear map over all blocks at once: input column j holds symbol j of
+    (W, S) for every block. Without ``table`` only the drawn pair's
+    decoding is derived.
     """
     if blocks < 1:
         raise ValueError("blocks must be at least 1")
     if len(messages) != s.K or any(len(row) != s.L * blocks for row in messages):
         raise ValueError(f"messages must be {s.K} rows of {s.L * blocks} symbols")
     for row in messages:
-        for v in row:
-            s.field.check(v)
-    if table is None:
-        table = derive_decode_table(s)
+        s.field.check(min(row))
+        s.field.check(max(row))
 
     a, b = draw_indices(s, seed)
+    pair = table.entry(a, b) if table is not None else derive_pair_decode(s, a, b)
+    if pair.theta is None or pair.recovery is None:
+        raise NotReliableError(a, b)
     randomness = shared_randomness(s, seed, blocks)
-    map_a = s.answer(1, a).map
-    map_b = s.answer(2, b).map
+    columns = [bytes(row[l :: s.L]) for row in messages for l in range(s.L)]
+    columns += [bytes(col) for col in zip(*randomness)]
 
-    db1_symbols = []
-    db2_symbols = []
-    decoded: list[int] = []
-    theta = table.theta(a, b)
-    for i in range(blocks):
-        w = tuple(v for k in range(s.K) for v in messages[k][i * s.L : (i + 1) * s.L])
-        x = w + randomness[i]
-        out_a = mat_vec(s.field, map_a, x)
-        out_b = mat_vec(s.field, map_b, x)
-        db1_symbols.append(out_a)
-        db2_symbols.append(out_b)
-        t, w_decoded = decode(s, table, a, b, out_a + out_b)
-        assert t == theta
-        decoded.extend(w_decoded)
+    out_a = mat_batch(s.field, s.answer(1, a).map, columns, blocks)
+    out_b = mat_batch(s.field, s.answer(2, b).map, columns, blocks)
+    recovered = mat_batch(s.field, pair.recovery, out_a + out_b, blocks)
 
     return Transcript(
         scheme_id=scheme_id(s),
         blocks=blocks,
         a=a,
         b=b,
-        db1_symbols=tuple(db1_symbols),
-        db2_symbols=tuple(db2_symbols),
-        theta=theta,
-        decoded=tuple(decoded),
-        download_symbols=sum(len(v) for v in db1_symbols) + sum(len(v) for v in db2_symbols),
+        db1_symbols=tuple(zip(*out_a)),
+        db2_symbols=tuple(zip(*out_b)),
+        theta=pair.theta,
+        decoded=tuple(v for block in zip(*recovered) for v in block),
+        download_symbols=blocks * (len(out_a) + len(out_b)),
         download_index_bits=answer_index_bits(s),
     )
 

@@ -37,6 +37,13 @@ class SearchSpace:
     M1: int
     M2: int
 
+    def __post_init__(self) -> None:
+        FieldSpec(self.m)  # rejects unsupported degrees
+        bounds = (("K", self.K, 2), ("L", self.L, 1), ("R", self.R, 0), ("max_len", self.max_len, 1))
+        for name, value, least in bounds:
+            if value < least:
+                raise ValueError(f"search space needs {name} >= {least}, got {value}")
+
     @property
     def n_cols(self) -> int:
         return self.K * self.L + self.R

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from rspir import build_k4_scheme, build_pairwise_scheme, parse_scheme, serialize_scheme
@@ -99,6 +101,17 @@ def test_run_rejects_bad_messages(tmp_path, capsys):
     assert "rows" in capsys.readouterr().err
 
 
+def test_run_undecodable_drawn_pair_is_an_error(tmp_path, capsys):
+    # K=2, R=1 and every answer transmits only the pad: no pair decodes anything.
+    path = tmp_path / "dead.txt"
+    answers = "".join(f"answer {db} {i} 1\n0 0 1\n" for db in (1, 2) for i in (1, 2))
+    path.write_text("rspir 2 1 1 1 2 2\n" + answers)
+    assert main(["run", str(path), "--seed", "0"]) == 1
+    captured = capsys.readouterr()
+    assert re.fullmatch(r"error: answer pair \([12], [12]\) decodes no message\n", captured.err)
+    assert captured.out == ""
+
+
 def test_rate_command(tmp_path, capsys):
     path = write_scheme(tmp_path, build_k4_scheme())
     assert main(["rate", path]) == 0
@@ -154,6 +167,26 @@ def test_search_command_budget_exceeded(capsys):
     code = main(["search", "--k", "2", "--r", "1", "--max-len", "1", "--budget", "10"])
     assert code == 1
     assert "resume cursor 10" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--k", "0", "--r", "1"], "K >= 2, got 0"),
+        (["--k", "1", "--r", "1"], "K >= 2, got 1"),
+        (["--k", "-2", "--r", "1"], "K >= 2, got -2"),
+        (["--k", "2", "--r", "-1"], "R >= 0, got -1"),
+        (["--k", "2", "--l", "0", "--r", "1"], "L >= 1, got 0"),
+        (["--k", "2", "--r", "1", "--max-len", "0"], "max_len >= 1, got 0"),
+        (["--k", "2", "--r", "1", "--m", "5"], "unsupported extension degree m=5"),
+    ],
+)
+def test_search_rejects_bad_space(capsys, flags, message):
+    assert main(["search", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_unknown_subcommand_usage_error():

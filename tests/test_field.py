@@ -74,3 +74,29 @@ def test_operand_range_checked():
         GF2.add(2, 0)
     with pytest.raises(ValueError):
         FieldSpec(2).mul(4, 1)
+
+
+def longhand_mul(m, x, y):
+    """Schoolbook carry-less product, then long division by the degree-m polynomial."""
+    prod = 0
+    for i in range(m):
+        if y >> i & 1:
+            prod ^= x << i
+    for bit in reversed(range(m, 2 * m - 1)):
+        if prod >> bit & 1:
+            prod ^= REDUCTION_POLYS[m] << (bit - m)
+    return prod
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_tables_match_longhand_arithmetic(m):
+    field = FieldSpec(m)
+    q = field.q
+    assert len(field.mul_rows) == q
+    for e, row in enumerate(field.mul_rows):
+        assert len(row) == 256  # usable as a bytes.translate table
+        assert list(row[:q]) == [longhand_mul(m, e, x) for x in range(q)]
+        assert [field.mul(e, x) for x in range(q)] == list(row[:q])
+    for x in range(1, q):
+        assert longhand_mul(m, x, field.inverses[x]) == 1
+        assert field.inv(x) == field.inverses[x]

@@ -8,6 +8,7 @@ from rspir.field import GF2, FieldSpec
 from rspir.linalg import (
     FieldMatrix,
     in_row_space,
+    mat_batch,
     mat_mul,
     mat_vec,
     nullspace,
@@ -149,3 +150,44 @@ def test_row_reduce_gf4_normalizes_pivots():
     red = row_reduce(field, a)
     for i, c in enumerate(red.pivots):
         assert red.matrix.entry(i, c) == 1
+
+
+@given(matrices(m=4), st.integers(1, 5), st.data())
+@settings(max_examples=100)
+def test_mat_batch_matches_longhand_products(a, width, data):
+    field = FieldSpec(4)
+    symbols = st.lists(st.integers(0, 15), min_size=width, max_size=width)
+    batch = [bytes(data.draw(symbols)) for _ in range(a.cols)]
+    expected = []
+    for i in range(a.rows):
+        row = []
+        for p in range(width):
+            acc = 0
+            for j in range(a.cols):
+                acc = field.add(acc, field.mul(a.entry(i, j), batch[j][p]))
+            row.append(acc)
+        expected.append(bytes(row))
+    assert mat_batch(field, a, batch, width) == expected
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_products_reject_out_of_field_entries(m):
+    field = FieldSpec(m)
+    q = field.q
+    good = FieldMatrix.identity(2)
+    bad = FieldMatrix.from_rows([[1, q], [0, 1]])
+    negative = FieldMatrix.from_rows([[1, 0], [-1, 1]])
+    for x in [(0, q), (-1, 0), (0, 256)]:
+        with pytest.raises(ValueError):
+            mat_vec(field, good, x)
+    for a, b in [(bad, good), (good, bad), (negative, good), (good, negative)]:
+        with pytest.raises(ValueError):
+            mat_mul(field, a, b)
+    with pytest.raises(ValueError):
+        mat_vec(field, bad, (0, 1))
+    with pytest.raises(ValueError):
+        mat_batch(field, bad, [b"\0", b"\0"], 1)
+    with pytest.raises(ValueError):
+        mat_batch(field, good, [bytes([0, q - 1]), bytes([q, 0])], 2)
+    with pytest.raises(ValueError):
+        mat_batch(field, good, [b"\0", b"\0\0"], 1)  # ragged batch

@@ -2,18 +2,25 @@ from collections import Counter
 
 import pytest
 
+from conftest import oracle_observation
 from rspir import (
+    FieldSpec,
+    Scheme,
     answer_index_bits,
     build_k4_scheme,
     build_pairwise_scheme,
     build_rotation_scheme,
+    build_scheme,
     derive_decode_table,
     parse_messages,
     random_messages,
     run_protocol,
     shared_randomness,
+    with_field,
 )
+from rspir.linalg import FieldMatrix
 from rspir.protocol import draw_indices, format_messages, scheme_id
+from rspir.scheme import LinearAnswer
 
 
 def true_message(messages, theta, L, blocks):
@@ -161,3 +168,51 @@ def test_parse_messages_rejects_non_decimal_token(token):
     s = build_pairwise_scheme(2)
     with pytest.raises(ValueError, match="row 2: symbols must be decimal integers"):
         parse_messages(f"0 1\n{token} 1\n", s, 2)
+
+
+def _gf4_no_randomness_scheme():
+    """K=2, R=0 over GF(4): every pair has rank 2, so every pair decodes both messages."""
+    def answers(*rows):
+        return tuple(LinearAnswer(i, FieldMatrix.from_rows([r])) for i, r in enumerate(rows, start=1))
+
+    return Scheme(2, 1, 0, FieldSpec(2), answers((1, 0), (0, 3)), answers((2, 1), (1, 2)))
+
+
+BATCH_CASES = [
+    pytest.param(with_field(build_scheme(variant, K), m), id=f"{variant}-K{K}-m{m}")
+    for variant, K in [
+        ("rotation-randomness", 2),
+        ("rotation-randomness", 3),
+        ("rotation-messages", 3),
+        ("pairwise-sum", 2),
+        ("pairwise-sum", 4),
+        ("k4-special", 4),
+    ]
+    for m in (1, 2, 4)
+] + [pytest.param(_gf4_no_randomness_scheme(), id="hand-built-R0-m2")]
+
+
+@pytest.mark.parametrize("scheme", BATCH_CASES)
+def test_batched_run_matches_longhand_oracle(scheme):
+    # Every block's transmitted symbols are recomputed one block at a time by
+    # the longhand oracle, which does not use linalg; decoded must equal
+    # message theta. The last symbol of every message is q - 1.
+    table = derive_decode_table(scheme)
+    q, L = scheme.field.q, scheme.L
+    for blocks in (1, 3, 64):
+        for seed in range(4):
+            messages = random_messages(scheme, f"content-{seed}", blocks)
+            for row in messages:
+                row[-1] = q - 1
+            t = run_protocol(scheme, messages, seed=seed, blocks=blocks)
+            assert run_protocol(scheme, messages, seed=seed, blocks=blocks, table=table) == t
+            rows_a = scheme.answer(1, t.a).map.rows
+            randomness = shared_randomness(scheme, seed, blocks)
+            for i in range(blocks):
+                w = tuple(v for row in messages for v in row[i * L : (i + 1) * L])
+                expected = oracle_observation(scheme, t.a, t.b, w + randomness[i])
+                assert t.db1_symbols[i] == expected[:rows_a]
+                assert t.db2_symbols[i] == expected[rows_a:]
+            assert t.theta == table.theta(t.a, t.b)
+            assert t.decoded == tuple(messages[t.theta - 1])
+
