@@ -94,7 +94,7 @@ def derive_decode_table(s: Scheme) -> DecodeTable:
     """
     _require_valid_shape(s)
     grid = tuple(
-        tuple(_pair_decode(s, ans_a.map, ans_b.map) for ans_b in s.answers_db2)
+        tuple(pair_decode(s, ans_a.map, ans_b.map) for ans_b in s.answers_db2)
         for ans_a in s.answers_db1
     )
     return DecodeTable(s.K, s.L, grid)
@@ -103,7 +103,7 @@ def derive_decode_table(s: Scheme) -> DecodeTable:
 def derive_pair_decode(s: Scheme, a: int, b: int) -> PairDecode:
     """The decode table's entry for answer pair (a, b), derived on its own."""
     _require_valid_shape(s)
-    return _pair_decode(s, s.answer(1, a).map, s.answer(2, b).map)
+    return pair_decode(s, s.answer(1, a).map, s.answer(2, b).map)
 
 
 def _require_valid_shape(s: Scheme) -> None:
@@ -112,7 +112,8 @@ def _require_valid_shape(s: Scheme) -> None:
         raise ValueError("scheme shape is invalid: " + "; ".join(violations))
 
 
-def _pair_decode(s: Scheme, map_a: FieldMatrix, map_b: FieldMatrix) -> PairDecode:
+def pair_decode(s: Scheme, map_a: FieldMatrix, map_b: FieldMatrix) -> PairDecode:
+    """Decoding facts for the pair of maps (map_a, map_b); ``s`` supplies only K, L and the field."""
     stacked = vstack(map_a, map_b)
     red = row_reduce(s.field, stacked)
     decodable = tuple(

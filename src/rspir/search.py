@@ -11,20 +11,41 @@ sound prunes keep the space workable:
   in a valid scheme, because some pair using it must keep that message
   private, and mutual information only shrinks under marginalization.
 
-Schemes are counted up to relabeling of answer indices within each
-database and of randomness symbols; verification is invariant under both,
-so one representative per class is enough.
+The surviving answers form a pool, and a candidate is a tuple of pool
+indices: M1 for database 1, then M2 for database 2. Candidates are never
+serialized or fully verified one by one:
+
+* Schemes are counted up to relabeling of answer indices within each
+  database and of randomness symbols; verification is invariant under
+  both, so one representative per class is enough. A class is keyed by
+  its index tuples alone: the least ``(sorted(t1), sorted(t2))`` over the
+  R! randomness relabelings, each precomputed once as a map from pool
+  index to pool index (the pool is closed under them). ``canonical_key``
+  defines the same classes on scheme text.
+* Reliability and database privacy depend only on the pair of answers, so
+  a pool x pool table holds each pair's verdict: the decoded message theta,
+  or invalid when the pair decodes nothing or leaks about another message.
+  Cells are derived on first use, so a small budget pays for few of them.
+  A class is valid when all of its M1 x M2 cells hold a theta and every
+  message appears M2/K times in each row and M1/K times in each column,
+  the user-privacy rule. Determinism holds by construction and
+  independence is the constant K*L + R of the uniform model, so this is
+  exactly ``verify_scheme(...).all_passed``.
+
+Only the first member of a valid class in cursor order is built into a
+``Scheme``.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 
+from .decode import pair_decode
 from .field import FieldSpec
 from .linalg import FieldMatrix
 from .scheme import LinearAnswer, Scheme, permute_answers, permute_randomness
 from .schemeio import serialize_scheme
-from .verify import leaked_symbols, verify_scheme
+from .verify import leaked_symbols, pair_leak
 
 
 @dataclass(frozen=True)
@@ -39,7 +60,10 @@ class SearchSpace:
 
     def __post_init__(self) -> None:
         FieldSpec(self.m)  # rejects unsupported degrees
-        bounds = (("K", self.K, 2), ("L", self.L, 1), ("R", self.R, 0), ("max_len", self.max_len, 1))
+        bounds = (
+            ("K", self.K, 2), ("L", self.L, 1), ("R", self.R, 0),
+            ("max_len", self.max_len, 1), ("M1", self.M1, 0), ("M2", self.M2, 0),
+        )
         for name, value, least in bounds:
             if value < least:
                 raise ValueError(f"search space needs {name} >= {least}, got {value}")
@@ -110,40 +134,111 @@ def canonical_key(s: Scheme) -> str:
     return best
 
 
+class SearchPlan:
+    """The pool of one space, its randomness relabelings and its lazy pair table."""
+
+    def __init__(self, space: SearchSpace) -> None:
+        self.space = space
+        self.field = FieldSpec(space.m)
+        self.pool = candidate_answers(space)
+        self.total = len(self.pool) ** (space.M1 + space.M2)
+        # K, L, R and the field, for the per-pair derivations
+        self._shape = self.scheme((), ())
+        self._cells: dict[tuple[int, int], int | None] = {}
+        self.relabelings = self._randomness_relabelings()
+        # the sorted thetas of a uniform row (M2 pairs) and column (M1 pairs)
+        self._row_law = sorted(list(range(1, space.K + 1)) * (space.M2 // space.K))
+        self._col_law = sorted(list(range(1, space.K + 1)) * (space.M1 // space.K))
+
+    def _randomness_relabelings(self) -> list[tuple[int, ...]]:
+        """Every non-identity randomness permutation as a pool-index map."""
+        index = {m: i for i, m in enumerate(self.pool)}
+        whole_pool = self.scheme(tuple(range(len(self.pool))), ())
+        return [
+            tuple(index[a.map] for a in permute_randomness(whole_pool, perm).answers_db1)
+            for perm in list(itertools.permutations(range(self.space.R)))[1:]
+        ]
+
+    def indices(self, cursor: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Pool indices of database 1's and database 2's answers; slot 1 varies fastest."""
+        n = len(self.pool)
+        digits = []
+        for _ in range(self.space.M1 + self.space.M2):
+            cursor, d = divmod(cursor, n)
+            digits.append(d)
+        return tuple(digits[: self.space.M1]), tuple(digits[self.space.M1 :])
+
+    def class_key(self, t1: tuple[int, ...], t2: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Least sorted index tuples over the randomness relabelings."""
+        key = (tuple(sorted(t1)), tuple(sorted(t2)))
+        for p in self.relabelings:
+            alt = (tuple(sorted([p[i] for i in t1])), tuple(sorted([p[i] for i in t2])))
+            if alt < key:
+                key = alt
+        return key
+
+    def theta(self, i: int, j: int) -> int | None:
+        """The pair's decoded message, or None when it decodes nothing or leaks."""
+        cell = (i, j)
+        if cell not in self._cells:
+            a, b = self.pool[i], self.pool[j]
+            theta = pair_decode(self._shape, a, b).theta
+            if theta is not None and pair_leak(self._shape, a, b, theta):
+                theta = None
+            self._cells[cell] = theta
+        return self._cells[cell]
+
+    def is_valid(self, t1: tuple[int, ...], t2: tuple[int, ...]) -> bool:
+        """Every pair is a theta and each message is balanced per row and per column."""
+        grid = []
+        for i in t1:
+            row = [self.theta(i, j) for j in t2]
+            if None in row or sorted(row) != self._row_law:
+                return False
+            grid.append(row)
+        return all(sorted(col) == self._col_law for col in zip(*grid))
+
+    def scheme(self, t1: tuple[int, ...], t2: tuple[int, ...]) -> Scheme:
+        space = self.space
+        db1 = tuple(LinearAnswer(i + 1, self.pool[p]) for i, p in enumerate(t1))
+        db2 = tuple(LinearAnswer(i + 1, self.pool[p]) for i, p in enumerate(t2))
+        return Scheme(space.K, space.L, space.R, self.field, db1, db2)
+
+
 def search_schemes(space: SearchSpace, budget: int = 1_000_000, start: int = 0) -> SearchResult:
     """Enumerate the space in a fixed order and return every valid scheme.
 
     ``budget`` caps the number of candidate schemes examined; exceeding it
     raises ``BudgetExceededError`` with a cursor that can be passed back
-    as ``start`` to resume. An empty result means the space is exhausted
-    and provably contains no valid scheme.
+    as ``start`` to resume. A space pruned by its answer-set sizes has no
+    candidates, so its only cursor is 0. An empty result means the space
+    is exhausted and provably contains no valid scheme.
     """
+    if budget < 0:
+        raise ValueError(f"search budget must be >= 0, got {budget}")
     if space.M1 % space.K or space.M2 % space.K or space.M1 == 0 or space.M2 == 0:
+        plan = None
+        total = 0
+    else:
+        plan = SearchPlan(space)
+        total = plan.total
+    if not 0 <= start <= total:
+        raise ValueError(f"search start must be in 0..{total}, got {start}")
+    if plan is None:
         return SearchResult((), 0, space)
-    field = FieldSpec(space.m)
-    pool = candidate_answers(space)
-    slots = space.M1 + space.M2
-    total = len(pool) ** slots
 
     found: list[Scheme] = []
-    seen: set[str] = set()
+    seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
     examined = 0
     for cursor in range(start, total):
         if examined >= budget:
             raise BudgetExceededError(cursor, examined, tuple(found))
         examined += 1
-        idx = cursor
-        choice = []
-        for _ in range(slots):
-            choice.append(pool[idx % len(pool)])
-            idx //= len(pool)
-        db1 = tuple(LinearAnswer(i + 1, m) for i, m in enumerate(choice[: space.M1]))
-        db2 = tuple(LinearAnswer(i + 1, m) for i, m in enumerate(choice[space.M1 :]))
-        scheme = Scheme(space.K, space.L, space.R, field, db1, db2)
-        key = canonical_key(scheme)
+        t1, t2 = plan.indices(cursor)
+        key = plan.class_key(t1, t2)
         if key in seen:
             continue
         seen.add(key)
-        if verify_scheme(scheme).all_passed:
-            found.append(scheme)
+        if plan.is_valid(t1, t2):
+            found.append(plan.scheme(t1, t2))
     return SearchResult(tuple(found), examined, space)

@@ -153,6 +153,16 @@ def leaked_symbols(field: FieldSpec, m: FieldMatrix, cols: Iterable[int]) -> int
     return rank(field, m) - rank(field, m.drop_cols(cols))
 
 
+def pair_leak(s: Scheme, map_a: FieldMatrix, map_b: FieldMatrix, theta: int) -> int:
+    """What the pair's observation reveals about every message but ``theta``, in q-ary symbols."""
+    others = [
+        s.message_col(k, l)
+        for k in range(1, s.K + 1) if k != theta
+        for l in range(1, s.L + 1)
+    ]
+    return leaked_symbols(s.field, vstack(map_a, map_b), others)
+
+
 def check_reliability(s: Scheme, t: DecodeTable) -> CheckRecord:
     """Each answer pair's observation determines the decoded message exactly.
 
@@ -182,13 +192,7 @@ def check_database_privacy(s: Scheme, t: DecodeTable) -> CheckRecord:
                 return CheckRecord(
                     "database-privacy", False, witness=f"pair ({a},{b}) decodes no message"
                 )
-            others = [
-                s.message_col(k, l)
-                for k in range(1, s.K + 1) if k != theta
-                for l in range(1, s.L + 1)
-            ]
-            stacked = vstack(s.answer(1, a).map, s.answer(2, b).map)
-            leak = leaked_symbols(s.field, stacked, others)
+            leak = pair_leak(s, s.answer(1, a).map, s.answer(2, b).map, theta)
             if leak:
                 return CheckRecord(
                     "database-privacy",

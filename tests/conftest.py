@@ -6,9 +6,20 @@ import random
 from collections import Counter
 from fractions import Fraction
 
-from rspir import CheckRecord, JointDistribution, Scheme, mutual_information
+from rspir import (
+    BudgetExceededError,
+    CheckRecord,
+    FieldSpec,
+    JointDistribution,
+    Scheme,
+    SearchResult,
+    SearchSpace,
+    mutual_information,
+    verify_scheme,
+)
 from rspir.linalg import FieldMatrix
 from rspir.scheme import LinearAnswer
+from rspir.search import candidate_answers, canonical_key
 
 
 def replace_answer(s: Scheme, db: int, index: int, rows: list[tuple[int, ...]]) -> Scheme:
@@ -155,3 +166,39 @@ def oracle_model_joint(s: Scheme) -> JointDistribution:
         ((x[:split], x[split:]), p) for x in itertools.product(range(q), repeat=s.n_cols)
     )
     return JointDistribution(outcomes, q)
+
+
+def oracle_search_schemes(space: SearchSpace, budget: int = 1_000_000, start: int = 0) -> SearchResult:
+    """The search as one scheme per candidate: text-key dedup, then the full verifier.
+
+    Same cursor order, budget and resume contract as ``search_schemes``; each
+    candidate is built as a ``Scheme``, deduplicated by ``canonical_key`` and,
+    when its class is new, kept if ``verify_scheme`` passes every check.
+    """
+    if space.M1 % space.K or space.M2 % space.K or space.M1 == 0 or space.M2 == 0:
+        return SearchResult((), 0, space)
+    field = FieldSpec(space.m)
+    pool = candidate_answers(space)
+    slots = space.M1 + space.M2
+    found: list[Scheme] = []
+    seen: set[str] = set()
+    examined = 0
+    for cursor in range(start, len(pool) ** slots):
+        if examined >= budget:
+            raise BudgetExceededError(cursor, examined, tuple(found))
+        examined += 1
+        idx = cursor
+        choice = []
+        for _ in range(slots):
+            choice.append(pool[idx % len(pool)])
+            idx //= len(pool)
+        db1 = tuple(LinearAnswer(i + 1, m) for i, m in enumerate(choice[: space.M1]))
+        db2 = tuple(LinearAnswer(i + 1, m) for i, m in enumerate(choice[space.M1 :]))
+        scheme = Scheme(space.K, space.L, space.R, field, db1, db2)
+        key = canonical_key(scheme)
+        if key in seen:
+            continue
+        seen.add(key)
+        if verify_scheme(scheme).all_passed:
+            found.append(scheme)
+    return SearchResult(tuple(found), examined, space)

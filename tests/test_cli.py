@@ -179,6 +179,9 @@ def test_search_command_budget_exceeded(capsys):
         (["--k", "2", "--l", "0", "--r", "1"], "L >= 1, got 0"),
         (["--k", "2", "--r", "1", "--max-len", "0"], "max_len >= 1, got 0"),
         (["--k", "2", "--r", "1", "--m", "5"], "unsupported extension degree m=5"),
+        (["--k", "2", "--r", "1", "--m1", "-2"], "M1 >= 0, got -2"),
+        (["--k", "2", "--r", "1", "--m2", "-2"], "M2 >= 0, got -2"),
+        (["--k", "2", "--r", "1", "--budget", "-1"], "budget must be >= 0, got -1"),
     ],
 )
 def test_search_rejects_bad_space(capsys, flags, message):

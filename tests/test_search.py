@@ -1,6 +1,8 @@
 import itertools
+from collections import Counter
 
 import pytest
+from conftest import oracle_check_records, oracle_decodable, oracle_search_schemes
 
 from rspir import (
     BudgetExceededError,
@@ -13,10 +15,13 @@ from rspir import (
 )
 from rspir.linalg import FieldMatrix
 from rspir.scheme import LinearAnswer
-from rspir.search import SearchSpace, candidate_answers, canonical_key, search_schemes
+from rspir.search import SearchPlan, SearchSpace, candidate_answers, canonical_key, search_schemes
 
 NO_RANDOMNESS = SearchSpace(K=2, L=1, R=0, m=1, max_len=2, M1=2, M2=2)
 ONE_PAD = SearchSpace(K=2, L=1, R=1, m=1, max_len=1, M1=2, M2=2)
+# R=1 has only the identity randomness relabeling; R=2 also has the swap
+TWO_PADS = SearchSpace(K=2, L=1, R=2, m=1, max_len=1, M1=2, M2=2)
+ONE_PAD_GF4 = SearchSpace(K=2, L=1, R=1, m=2, max_len=1, M1=2, M2=2)
 
 
 def test_no_randomness_space_is_exhausted_empty():
@@ -103,3 +108,117 @@ def test_search_matches_pure_enumeration_oracle_on_slice():
     search_keys = {canonical_key(s) for s in search_schemes(ONE_PAD, budget=10_000).schemes}
     assert passing_keys  # the slice does contain valid schemes
     assert passing_keys <= search_keys
+
+
+def _outcome(search, space, budget, start=0):
+    """Everything a search returns or raises, with schemes as their text."""
+    try:
+        r = search(space, budget=budget, start=start)
+    except BudgetExceededError as e:
+        return ("budget", e.cursor, e.examined, [serialize_scheme(s) for s in e.partial])
+    return ("done", r.examined, [serialize_scheme(s) for s in r.schemes])
+
+
+@pytest.mark.parametrize(
+    "space, budget",
+    [
+        (ONE_PAD, 1_000_000),
+        (NO_RANDOMNESS, 1_000_000),
+        (ONE_PAD, 1),
+        (ONE_PAD, 300),
+        (ONE_PAD, 777),
+        (TWO_PADS, 2_000),
+        (ONE_PAD_GF4, 5_000),
+    ],
+    ids=["one-pad", "no-randomness", "one-pad-b1", "one-pad-b300", "one-pad-b777", "two-pads-b2000", "gf4-b5000"],
+)
+def test_search_matches_per_candidate_oracle(space, budget):
+    # the pair table and index-tuple classes against a Scheme per candidate,
+    # canonical_key dedup and the full verifier: same schemes in the same
+    # order, same examined count, same cursor and partial finds
+    got = _outcome(search_schemes, space, budget)
+    assert got == _outcome(oracle_search_schemes, space, budget)
+    if got[0] == "budget" and space == ONE_PAD:
+        cursor = got[1]
+        resumed = _outcome(search_schemes, space, 1_000_000, start=cursor)
+        assert resumed == _outcome(oracle_search_schemes, space, 1_000_000, start=cursor)
+        assert resumed[0] == "done" and got[2] + resumed[1] == 1296
+
+
+def _partitions_agree(plan: SearchPlan, cursors) -> int:
+    """Assert the index-tuple key and canonical_key split ``cursors`` alike; return the class count."""
+    pairs = set()
+    for cursor in cursors:
+        t1, t2 = plan.indices(cursor)
+        pairs.add((plan.class_key(t1, t2), canonical_key(plan.scheme(t1, t2))))
+    assert len({k for k, _ in pairs}) == len({t for _, t in pairs}) == len(pairs)
+    return len(pairs)
+
+
+def test_index_class_key_partitions_like_canonical_key():
+    plan = SearchPlan(ONE_PAD)
+    assert plan.relabelings == []
+    assert _partitions_agree(plan, range(plan.total)) == 441
+
+    # every candidate whose answers come from a relabeling-closed part of
+    # the R=2 pool, so each class met is met whole
+    plan = SearchPlan(TWO_PADS)
+    assert len(plan.relabelings) == 1
+    part = set(range(7))
+    for p in plan.relabelings:
+        part |= {p[i] for i in part}
+    part = sorted(part)
+    assert len(part) ** 4 <= 3_000
+    n = len(plan.pool)
+    cursors = [
+        sum(d * n**slot for slot, d in enumerate(digits))
+        for digits in itertools.product(part, repeat=4)
+    ]
+    classes = _partitions_agree(plan, cursors)
+    assert classes < len(cursors)
+
+
+@pytest.mark.parametrize(
+    "space, kwargs, message",
+    [
+        (ONE_PAD, {"start": -3}, "start must be in 0..1296, got -3"),
+        (ONE_PAD, {"start": 1297}, "start must be in 0..1296, got 1297"),
+        (ONE_PAD, {"budget": -1}, "budget must be >= 0, got -1"),
+        (SearchSpace(K=2, L=1, R=0, m=1, max_len=1, M1=3, M2=2), {"start": 1}, "start must be in 0..0, got 1"),
+    ],
+)
+def test_search_rejects_out_of_range_start_and_budget(space, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        search_schemes(space, **kwargs)
+
+
+def test_search_start_at_end_examines_nothing():
+    result = search_schemes(ONE_PAD, start=1296)
+    assert result.examined == 0 and result.schemes == ()
+    with pytest.raises(BudgetExceededError) as exc:
+        search_schemes(ONE_PAD, budget=0, start=1295)
+    assert exc.value.cursor == 1295 and exc.value.examined == 0
+
+
+def test_pair_table_fills_lazily():
+    # judging one candidate derives at most its own M1 x M2 cells
+    plan = SearchPlan(ONE_PAD_GF4)
+    t1, t2 = plan.indices(12_345)
+    plan.is_valid(t1, t2)
+    assert 1 <= len(plan._cells) <= len(t1) * len(t2)
+
+
+def test_pair_table_matches_enumeration_oracle():
+    # with two-row answers some pairs decode one message and leak the other,
+    # so every rule of a cell decides some verdict here
+    plan = SearchPlan(SearchSpace(K=2, L=1, R=1, m=1, max_len=2, M1=2, M2=2))
+    verdicts = Counter()
+    for i, a in enumerate(plan.pool):
+        for j, b in enumerate(plan.pool):
+            pair = Scheme(2, 1, 1, plan.field, (LinearAnswer(1, a),), (LinearAnswer(1, b),))
+            rel, dbp = oracle_check_records(pair)
+            want = min(oracle_decodable(pair, 1, 1)) if rel.passed and dbp.passed else None
+            assert plan.theta(i, j) == want, (i, j)
+            verdicts[rel.passed, dbp.passed] += 1
+    assert verdicts[True, False] and verdicts[True, True] and verdicts[False, False]
+
