@@ -50,6 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m1", type=int, default=None, help="database 1 answer count (default K)")
     p.add_argument("--m2", type=int, default=None, help="database 2 answer count (default K)")
     p.add_argument("--budget", type=int, default=1_000_000)
+    p.add_argument("--start", type=int, default=0, help="resume cursor of a search that ran out of budget")
 
     return parser
 
@@ -108,7 +109,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 M2=args.m2 if args.m2 is not None else args.k,
             )
             try:
-                result = search_schemes(space, args.budget)
+                result = search_schemes(space, args.budget, args.start)
             except BudgetExceededError as e:
                 sys.stdout.write(f"budget exceeded: examined {e.examined}, resume cursor {e.cursor}\n")
                 for scheme in e.partial:

@@ -42,9 +42,12 @@ class Transcript:
             f"blocks {self.blocks}",
             f"indices {self.a} {self.b}",
         ]
-        for i in range(self.blocks):
-            lines.append(f"block {i + 1} db1 " + " ".join(map(str, self.db1_symbols[i])))
-            lines.append(f"block {i + 1} db2 " + " ".join(map(str, self.db2_symbols[i])))
+        if self.blocks:
+            # every block sends the same answers, so one template fits each line pair
+            pair = "block %d db1 " + " ".join(["%d"] * len(self.db1_symbols[0]))
+            pair += "\nblock %d db2 " + " ".join(["%d"] * len(self.db2_symbols[0]))
+            for i in range(self.blocks):
+                lines.append(pair % (i + 1, *self.db1_symbols[i], i + 1, *self.db2_symbols[i]))
         lines.append(f"decoded-index {self.theta}")
         lines.append("decoded " + " ".join(map(str, self.decoded)))
         lines.append(f"download symbols {self.download_symbols} index-bits {self.download_index_bits}")
@@ -59,10 +62,38 @@ def _stream(seed: int | str, label: str) -> random.Random:
     return random.Random(f"{seed}/{label}")
 
 
+_CHUNK_WORDS = 1 << 16  # MT19937 words per refill: memory follows the output size
+
+
+def _draws(rng: random.Random, q: int, n: int) -> bytes:
+    """The first ``n`` values ``rng.randrange(q)`` would return, for q = 2^m <= 128.
+
+    CPython's ``randrange(2^m)`` keeps the top m+1 bits of one 32-bit word
+    and rejects the word when bit 31 is set. ``getrandbits(32*w)`` packs w
+    words little-endian, so byte 4i+3 is the top byte of word i. A chunk may
+    overdraw ``rng``, which is safe only because every caller passes a
+    private stream that is discarded after this one use.
+    """
+    keep = bytes(b >> (8 - q.bit_length()) for b in range(256))
+    out = bytearray()
+    while len(out) < n:
+        words = min(2 * (n - len(out)) + 64, _CHUNK_WORDS)
+        data = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+        out += data[3::4].translate(keep, bytes(range(128, 256)))
+    return bytes(out[:n])
+
+
+def _randomness(s: Scheme, seed: int | str, blocks: int) -> bytes:
+    """The run's shared randomness symbols, block after block."""
+    if blocks < 1:
+        raise ValueError("blocks must be at least 1")
+    return _draws(_stream(seed, "common-randomness"), s.field.q, s.R * blocks)
+
+
 def shared_randomness(s: Scheme, seed: int | str, blocks: int) -> list[tuple[int, ...]]:
     """Per-block shared randomness symbols, as both databases would derive them."""
-    rng, q = _stream(seed, "common-randomness"), s.field.q
-    return [tuple(rng.randrange(q) for _ in range(s.R)) for _ in range(blocks)]
+    flat, R = _randomness(s, seed, blocks), s.R
+    return [tuple(flat[i * R : (i + 1) * R]) for i in range(blocks)]
 
 
 def draw_indices(s: Scheme, seed: int | str) -> tuple[int, int]:
@@ -74,8 +105,11 @@ def draw_indices(s: Scheme, seed: int | str) -> tuple[int, int]:
 
 def random_messages(s: Scheme, seed: int | str, blocks: int) -> list[list[int]]:
     """Uniform message content, for runs without a messages file."""
-    rng, q = _stream(seed, "messages"), s.field.q
-    return [[rng.randrange(q) for _ in range(s.L * blocks)] for _ in range(s.K)]
+    if blocks < 1:
+        raise ValueError("blocks must be at least 1")
+    n = s.L * blocks
+    flat = _draws(_stream(seed, "messages"), s.field.q, s.K * n)
+    return [list(flat[k * n : (k + 1) * n]) for k in range(s.K)]
 
 
 def run_protocol(
@@ -105,13 +139,16 @@ def run_protocol(
     pair = table.entry(a, b) if table is not None else derive_pair_decode(s, a, b)
     if pair.theta is None or pair.recovery is None:
         raise NotReliableError(a, b)
-    randomness = shared_randomness(s, seed, blocks)
+    randomness = _randomness(s, seed, blocks)
     columns = [bytes(row[l :: s.L]) for row in messages for l in range(s.L)]
-    columns += [bytes(col) for col in zip(*randomness)]
+    columns += [randomness[r :: s.R] for r in range(s.R)]
 
     out_a = mat_batch(s.field, s.answer(1, a).map, columns, blocks)
     out_b = mat_batch(s.field, s.answer(2, b).map, columns, blocks)
     recovered = mat_batch(s.field, pair.recovery, out_a + out_b, blocks)
+    decoded = bytearray(s.L * blocks)
+    for l, col in enumerate(recovered):
+        decoded[l :: s.L] = col
 
     return Transcript(
         scheme_id=scheme_id(s),
@@ -121,7 +158,7 @@ def run_protocol(
         db1_symbols=tuple(zip(*out_a)),
         db2_symbols=tuple(zip(*out_b)),
         theta=pair.theta,
-        decoded=tuple(v for block in zip(*recovered) for v in block),
+        decoded=tuple(decoded),
         download_symbols=blocks * (len(out_a) + len(out_b)),
         download_index_bits=answer_index_bits(s),
     )

@@ -18,7 +18,7 @@ serialized or fully verified one by one:
 * Schemes are counted up to relabeling of answer indices within each
   database and of randomness symbols; verification is invariant under
   both, so one representative per class is enough. A class is keyed by
-  its index tuples alone: the least ``(sorted(t1), sorted(t2))`` over the
+  its index tuples alone: the least ``(sorted(t2), sorted(t1))`` over the
   R! randomness relabelings, each precomputed once as a map from pool
   index to pool index (the pool is closed under them). ``canonical_key``
   defines the same classes on scheme text.
@@ -33,7 +33,10 @@ serialized or fully verified one by one:
   exactly ``verify_scheme(...).all_passed``.
 
 Only the first member of a valid class in cursor order is built into a
-``Scheme``.
+``Scheme``. Database 2's last slot is a cursor's most significant digit, so
+the key is also the digits of the class's least cursor, read from the top.
+A run resumed at ``start`` skips every class whose key is below the digits
+of ``start``: the stopped run already met it.
 """
 from __future__ import annotations
 
@@ -169,10 +172,10 @@ class SearchPlan:
         return tuple(digits[: self.space.M1]), tuple(digits[self.space.M1 :])
 
     def class_key(self, t1: tuple[int, ...], t2: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Least sorted index tuples over the randomness relabelings."""
-        key = (tuple(sorted(t1)), tuple(sorted(t2)))
+        """Least sorted index tuples, database 2's first, over the randomness relabelings."""
+        key = (tuple(sorted(t2)), tuple(sorted(t1)))
         for p in self.relabelings:
-            alt = (tuple(sorted([p[i] for i in t1])), tuple(sorted([p[i] for i in t2])))
+            alt = (tuple(sorted([p[i] for i in t2])), tuple(sorted([p[i] for i in t1])))
             if alt < key:
                 key = alt
         return key
@@ -210,7 +213,8 @@ def search_schemes(space: SearchSpace, budget: int = 1_000_000, start: int = 0) 
 
     ``budget`` caps the number of candidate schemes examined; exceeding it
     raises ``BudgetExceededError`` with a cursor that can be passed back
-    as ``start`` to resume. A space pruned by its answer-set sizes has no
+    as ``start`` to resume, which reports only classes first met from that
+    cursor on. A space pruned by its answer-set sizes has no
     candidates, so its only cursor is 0. An empty result means the space
     is exhausted and provably contains no valid scheme.
     """
@@ -229,6 +233,8 @@ def search_schemes(space: SearchSpace, budget: int = 1_000_000, start: int = 0) 
 
     found: list[Scheme] = []
     seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
+    s1, s2 = plan.indices(start)
+    start_digits = (s2[::-1], s1[::-1])
     examined = 0
     for cursor in range(start, total):
         if examined >= budget:
@@ -239,6 +245,6 @@ def search_schemes(space: SearchSpace, budget: int = 1_000_000, start: int = 0) 
         if key in seen:
             continue
         seen.add(key)
-        if plan.is_valid(t1, t2):
+        if key >= start_digits and plan.is_valid(t1, t2):
             found.append(plan.scheme(t1, t2))
     return SearchResult(tuple(found), examined, space)

@@ -157,6 +157,23 @@ def oracle_check_records(s: Scheme) -> tuple[CheckRecord, CheckRecord]:
     )
 
 
+def oracle_draws(rng: random.Random, q: int, n: int) -> bytes:
+    """``n`` symbols drawn one ``randrange`` call at a time."""
+    return bytes(rng.randrange(q) for _ in range(n))
+
+
+def oracle_random_messages(s: Scheme, seed: int | str, blocks: int) -> list[list[int]]:
+    """Message content drawn longhand from the simulator's ``messages`` stream."""
+    rng, q = random.Random(f"{seed}/messages"), s.field.q
+    return [[rng.randrange(q) for _ in range(s.L * blocks)] for _ in range(s.K)]
+
+
+def oracle_shared_randomness(s: Scheme, seed: int | str, blocks: int) -> list[tuple[int, ...]]:
+    """Per-block randomness drawn longhand from the ``common-randomness`` stream."""
+    rng, q = random.Random(f"{seed}/common-randomness"), s.field.q
+    return [tuple(rng.randrange(q) for _ in range(s.R)) for _ in range(blocks)]
+
+
 def oracle_model_joint(s: Scheme) -> JointDistribution:
     """The uniform (W, S) joint of the model, listed outcome by outcome."""
     q = s.field.q
@@ -173,28 +190,33 @@ def oracle_search_schemes(space: SearchSpace, budget: int = 1_000_000, start: in
 
     Same cursor order, budget and resume contract as ``search_schemes``; each
     candidate is built as a ``Scheme``, deduplicated by ``canonical_key`` and,
-    when its class is new, kept if ``verify_scheme`` passes every check.
+    when its class is new, kept if ``verify_scheme`` passes every check. A
+    resumed run first keys every cursor before ``start`` without verifying,
+    so classes the stopped run already met count as seen.
     """
     if space.M1 % space.K or space.M2 % space.K or space.M1 == 0 or space.M2 == 0:
         return SearchResult((), 0, space)
     field = FieldSpec(space.m)
     pool = candidate_answers(space)
     slots = space.M1 + space.M2
+
+    def candidate(cursor: int) -> Scheme:
+        choice = []
+        for _ in range(slots):
+            choice.append(pool[cursor % len(pool)])
+            cursor //= len(pool)
+        db1 = tuple(LinearAnswer(i + 1, m) for i, m in enumerate(choice[: space.M1]))
+        db2 = tuple(LinearAnswer(i + 1, m) for i, m in enumerate(choice[space.M1 :]))
+        return Scheme(space.K, space.L, space.R, field, db1, db2)
+
     found: list[Scheme] = []
-    seen: set[str] = set()
+    seen = {canonical_key(candidate(cursor)) for cursor in range(start)}
     examined = 0
     for cursor in range(start, len(pool) ** slots):
         if examined >= budget:
             raise BudgetExceededError(cursor, examined, tuple(found))
         examined += 1
-        idx = cursor
-        choice = []
-        for _ in range(slots):
-            choice.append(pool[idx % len(pool)])
-            idx //= len(pool)
-        db1 = tuple(LinearAnswer(i + 1, m) for i, m in enumerate(choice[: space.M1]))
-        db2 = tuple(LinearAnswer(i + 1, m) for i, m in enumerate(choice[space.M1 :]))
-        scheme = Scheme(space.K, space.L, space.R, field, db1, db2)
+        scheme = candidate(cursor)
         key = canonical_key(scheme)
         if key in seen:
             continue

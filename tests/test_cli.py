@@ -112,6 +112,15 @@ def test_run_undecodable_drawn_pair_is_an_error(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("blocks", ["0", "-3"])
+def test_run_rejects_blocks_below_one(tmp_path, capsys, blocks):
+    path = write_scheme(tmp_path, build_pairwise_scheme(2))
+    assert main(["run", path, "--blocks", blocks]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: blocks must be at least 1\n"
+    assert captured.out == ""
+
+
 def test_rate_command(tmp_path, capsys):
     path = write_scheme(tmp_path, build_k4_scheme())
     assert main(["rate", path]) == 0
@@ -167,6 +176,29 @@ def test_search_command_budget_exceeded(capsys):
     code = main(["search", "--k", "2", "--r", "1", "--max-len", "1", "--budget", "10"])
     assert code == 1
     assert "resume cursor 10" in capsys.readouterr().out
+
+
+def test_search_command_resumes_from_printed_cursor(capsys):
+    flags = ["search", "--k", "2", "--r", "1", "--max-len", "1"]
+    assert main(flags) == 0
+    full = capsys.readouterr().out
+    assert main([*flags, "--budget", "500"]) == 1
+    stopped = capsys.readouterr().out
+    header, _, partial = stopped.partition("\n")
+    assert header == "budget exceeded: examined 500, resume cursor 500"
+    assert main([*flags, "--start", "500"]) == 0
+    resumed = capsys.readouterr().out
+    assert resumed.startswith("found 1 scheme class(es) in 796 candidates\n")
+    # the stopped run's classes and the resumed run's, in order, are the full run's
+    assert partial + resumed.partition("\n")[2] == full.partition("\n")[2]
+
+
+@pytest.mark.parametrize("start", ["-1", "1297"])
+def test_search_rejects_out_of_range_start(capsys, start):
+    assert main(["search", "--k", "2", "--r", "1", "--start", start]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: search start must be in 0..1296, got {start}\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,12 @@
+import contextlib
+import hashlib
+import io
+import random
 from collections import Counter
 
 import pytest
 
-from conftest import oracle_observation
+from conftest import oracle_draws, oracle_observation, oracle_random_messages, oracle_shared_randomness
 from rspir import (
     FieldSpec,
     Scheme,
@@ -15,11 +19,15 @@ from rspir import (
     parse_messages,
     random_messages,
     run_protocol,
+    serialize_scheme,
     shared_randomness,
     with_field,
 )
+from rspir import protocol
+from rspir.cli import main
+from rspir.field import SUPPORTED_DEGREES
 from rspir.linalg import FieldMatrix
-from rspir.protocol import draw_indices, format_messages, scheme_id
+from rspir.protocol import _CHUNK_WORDS, _draws, draw_indices, format_messages, scheme_id
 from rspir.scheme import LinearAnswer
 
 
@@ -216,3 +224,105 @@ def test_batched_run_matches_longhand_oracle(scheme):
             assert t.theta == table.theta(t.a, t.b)
             assert t.decoded == tuple(messages[t.theta - 1])
 
+
+def _golden_messages(s, blocks):
+    """Deterministic message content; rows of q symbols or more take every value of GF(2^m)."""
+    q, n = s.field.q, s.L * blocks
+    return [[(7 * k + 3 * j + j // q) % q for j in range(n)] for k in range(s.K)]
+
+
+def _run_stdout(tmp_path, scheme, seed, blocks, with_file):
+    """Exit code and stdout bytes of `rspir run` on ``scheme``."""
+    path = tmp_path / "scheme.txt"
+    path.write_text(serialize_scheme(scheme))
+    argv = ["run", str(path), "--seed", seed, "--blocks", str(blocks)]
+    if with_file:
+        mfile = tmp_path / "messages.txt"
+        mfile.write_text(format_messages(_golden_messages(scheme, blocks)))
+        argv += ["--messages-file", str(mfile)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue().encode()
+
+
+GOLDEN_CASES = [
+    # scheme, --seed, --blocks, with a messages file, SHA-256 of stdout
+    ("k4-special", 4, 4, "5", 2000, False,
+     "10c7c62ae3e860d853e7a066938872a05d62336b0d91be43e4ffce7b06ea00e7"),
+    ("k4-special", 4, 4, "11", 3, True,
+     "7f3020a67fdc45d83f5fc7256e65f7f220840c60415cc54acef244c2c7122a03"),
+    ("pairwise-sum", 6, 4, "7", 2000, False,
+     "536a67db4ef9c1b9561d2f69ec53088073206168b6b5c5f85ece8a3423b60166"),
+    ("pairwise-sum", 6, 4, "alpha", 1, True,
+     "165082ed9fae868e096b8f35634530267542e5b30c47a72938be6952822fd2e2"),
+    ("rotation-randomness", 2, 1, "0", 1, False,
+     "02bc2f639b50ae75631bf0e7982cc985238214ab4dab40448d4e943161666857"),
+    ("rotation-randomness", 2, 1, "3", 2000, True,
+     "0405ec59e8ac71b31e1269762dd21f49e6949989fc9fd8e823d8fa6a6686b0fc"),
+    ("hand-built-R0", 2, 2, "9", 3, False,
+     "2ea1c18ad7f35af45b46a4aa1582cbd936d0ca3b3f48b573ab736747073e29a6"),
+    ("hand-built-R0", 2, 2, "beta", 2000, True,
+     "8af98e2a312df7346c7ae291350de59a47515856c505f4975cb6060a40c7b0e1"),
+]
+
+
+@pytest.mark.parametrize(
+    "variant, K, m, seed, blocks, with_file, digest",
+    GOLDEN_CASES,
+    ids=[f"{c[0]}-K{c[1]}-m{c[2]}-b{c[4]}" + ("-file" if c[5] else "") for c in GOLDEN_CASES],
+)
+def test_run_stdout_matches_golden_digest(tmp_path, variant, K, m, seed, blocks, with_file, digest):
+    # Pins how the seeded streams are consumed and how transcripts are
+    # formatted: any change to either changes these bytes.
+    if variant == "hand-built-R0":
+        scheme = _gf4_no_randomness_scheme()
+    else:
+        scheme = build_scheme(variant, K, m)
+    code, out = _run_stdout(tmp_path, scheme, seed, blocks, with_file)
+    assert code == 0
+    assert hashlib.sha256(out).hexdigest() == digest
+
+
+@pytest.mark.parametrize("m", SUPPORTED_DEGREES)
+@pytest.mark.parametrize("seed", [0, 12345, "alpha/messages", ""])
+@pytest.mark.parametrize("n", [0, 1, 2 * _CHUNK_WORDS - 1, 2 * _CHUNK_WORDS + 1])
+def test_draws_replay_randrange(m, seed, n):
+    # 2·chunk ± 1 values take about four chunks of words, so those calls refill
+    q = 1 << m
+    assert _draws(random.Random(seed), q, n) == oracle_draws(random.Random(seed), q, n)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+def test_draws_replay_randrange_across_small_chunks(monkeypatch, chunk):
+    monkeypatch.setattr(protocol, "_CHUNK_WORDS", chunk)
+    for m in SUPPORTED_DEGREES:
+        for n in range(40):
+            got = _draws(random.Random(f"small/{n}"), 1 << m, n)
+            assert got == oracle_draws(random.Random(f"small/{n}"), 1 << m, n)
+
+
+def test_draws_replay_randrange_up_to_q_128():
+    for m in range(1, 8):
+        for seed in (3, "beta"):
+            assert _draws(random.Random(seed), 1 << m, 1000) == oracle_draws(random.Random(seed), 1 << m, 1000)
+
+
+@pytest.mark.parametrize("scheme", BATCH_CASES)
+def test_streams_match_longhand_oracles(scheme):
+    # BATCH_CASES include the R=0 scheme, whose randomness is empty tuples
+    for seed in (0, 7, "alpha"):
+        for blocks in (1, 3, 2000):
+            assert random_messages(scheme, seed, blocks) == oracle_random_messages(scheme, seed, blocks)
+            assert shared_randomness(scheme, seed, blocks) == oracle_shared_randomness(scheme, seed, blocks)
+
+
+@pytest.mark.parametrize("draw", [random_messages, shared_randomness])
+@pytest.mark.parametrize("blocks", [0, -3])
+def test_streams_reject_blocks_below_one_before_drawing(monkeypatch, draw, blocks):
+    def no_stream(seed, label):
+        raise AssertionError(f"stream {label} drawn for blocks={blocks}")
+
+    monkeypatch.setattr(protocol, "_stream", no_stream)
+    with pytest.raises(ValueError, match="^blocks must be at least 1$"):
+        draw(build_k4_scheme(), 0, blocks)

@@ -145,6 +145,30 @@ def test_search_matches_per_candidate_oracle(space, budget):
         assert resumed[0] == "done" and got[2] + resumed[1] == 1296
 
 
+def _found_cursors(space):
+    """The cursor at which the full search met each class it reports."""
+    plan = SearchPlan(space)
+    index = {m: i for i, m in enumerate(plan.pool)}
+    cursors = []
+    for s in search_schemes(space).schemes:
+        digits = [index[a.map] for a in (*s.answers_db1, *s.answers_db2)]
+        cursors.append(sum(d * len(plan.pool) ** i for i, d in enumerate(digits)))
+    return cursors
+
+
+@pytest.mark.parametrize("budget", [1, 300, 500, 777, *_found_cursors(ONE_PAD)])
+def test_resumed_search_reports_only_new_classes(budget):
+    # stopping anywhere, including right at a valid class's first cursor, and
+    # resuming there finds exactly the full run's classes in the full run's
+    # order, none of them twice
+    full = search_schemes(ONE_PAD, budget=10_000)
+    with pytest.raises(BudgetExceededError) as exc:
+        search_schemes(ONE_PAD, budget=budget)
+    resumed = search_schemes(ONE_PAD, budget=10_000, start=exc.value.cursor)
+    combined = [*exc.value.partial, *resumed.schemes]
+    assert [serialize_scheme(s) for s in combined] == [serialize_scheme(s) for s in full.schemes]
+
+
 def _partitions_agree(plan: SearchPlan, cursors) -> int:
     """Assert the index-tuple key and canonical_key split ``cursors`` alike; return the class count."""
     pairs = set()
